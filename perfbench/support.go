@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
+	"unsafe"
 
 	"repro/reactive"
 )
@@ -135,6 +137,19 @@ func allocBytes() uint64 {
 		return 0
 	}
 	return s[0].Value.Uint64()
+}
+
+// processCPUNs is the CPU time of every thread of the process, in
+// nanoseconds (CLOCK_PROCESS_CPUTIME_ID). The kernel counts a thread's
+// run time without the time the hypervisor stole from its vCPU, so on
+// one busy thread this is the wall time a quiet host would show.
+func processCPUNs() int64 {
+	const clockProcessCPUTimeID = 2
+	var ts syscall.Timespec
+	if _, _, e := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockProcessCPUTimeID, uintptr(unsafe.Pointer(&ts)), 0); e != 0 {
+		panic("perfbench: clock_gettime(CLOCK_PROCESS_CPUTIME_ID): " + e.Error())
+	}
+	return ts.Nano()
 }
 
 // stealTicks is the CPU time the hypervisor has taken from this VM

@@ -74,10 +74,19 @@ func newTracer(clk clock, client int, keepEvery uint64) *tracer {
 	return &tracer{clk: clk, reqID: uint64(client) << 48, cur: make([]span, 0, 16), keepEvery: keepEvery}
 }
 
-// clock reads monotonic nanoseconds since its base.
-type clock struct{ base time.Time }
+// clock reads nanoseconds: monotonic wall time since its base, or, when
+// cpu is set, the process's CPU time (see processCPUNs).
+type clock struct {
+	base time.Time
+	cpu  bool
+}
 
-func (c clock) now() int64 { return int64(time.Since(c.base)) }
+func (c clock) now() int64 {
+	if c.cpu {
+		return processCPUNs()
+	}
+	return int64(time.Since(c.base))
+}
 
 // begin opens a request's root span at start.
 func (t *tracer) begin(start int64) {
